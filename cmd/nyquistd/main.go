@@ -75,7 +75,7 @@ func main() {
 		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off; only used with -compress-block > 0)")
 		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples")
 		emitEvery    = flag.Int("emit-every", 8, "samples between estimate refreshes once a window is full")
-		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
+		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded). At -window 256 an estimated series holds ~2.5 KB of estimator state until its window fills and ~5 KB after (see DESIGN.md)")
 		evictAfter   = flag.Int("evict-after", -1, "observations of idleness before a capped-out estimator LRU-evicts an idle series (0 = never evict, negative = 4x max-series)")
 		maxBody      = flag.Int64("max-body", 8<<20, "max ingest request body in bytes")
 		bulkAddr     = flag.String("bulk-addr", "", "listen address for the plain-TCP length-prefixed bulk ingest lane (empty = off)")

@@ -209,7 +209,7 @@ func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.Inge
 		func() float64 { return float64(est.Probes()) })
 	reg.CounterFunc("nyquistd_estimator_reprobes_total", "Re-probes triggered by interval drift past the tolerance band.",
 		func() float64 { return float64(est.Reprobes()) })
-	reg.CounterFunc("nyquistd_estimator_retunes_total", "Retention retunes applied after a clean estimate streak.",
+	reg.CounterFunc("nyquistd_estimator_retunes_total", "Clean-streak estimates handed to retention (including ones confirming the current rate).",
 		func() float64 { return float64(est.Retunes()) })
 	reg.CounterFunc("nyquistd_estimator_aliased_refreshes_total", "Estimate refreshes rejected as aliased/unstable (clean streak reset).",
 		func() float64 { return float64(est.AliasedRefreshes()) })

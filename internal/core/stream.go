@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/dsp"
@@ -108,7 +109,12 @@ type StreamUpdate struct {
 // and re-derives the Nyquist rate, aliasing verdict and sweet-spot
 // suggestion in O(window) arithmetic per poll — where re-running the
 // batch estimator would cost a full O(N log N) FFT every time. Memory is
-// bounded by the window length no matter how long the stream runs.
+// bounded by the window length no matter how long the stream runs: the
+// estimator holds only its sliding DFT, whose ring buffer (N floats)
+// exists from construction and whose one-sided bins (N/2+1 complex
+// values) are allocated when the window first fills. The power and
+// frequency vectors an emission reads are computed into pooled buffers
+// at emission time, not kept per estimator.
 //
 // The spectral state is a sliding DFT (internal/dsp) that is periodically
 // re-derived with an exact FFT, so a StreamEstimator's results match the
@@ -122,8 +128,6 @@ type StreamUpdate struct {
 type StreamEstimator struct {
 	cfg   StreamConfig
 	sd    *dsp.SlidingDFT
-	power []float64
-	freqs []float64
 	count int64
 	// streak is the current run of consecutive aliased emissions.
 	streak int
@@ -149,18 +153,7 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &StreamEstimator{
-		cfg:   c,
-		sd:    sd,
-		power: make([]float64, sd.Bins()),
-		freqs: make([]float64, sd.Bins()),
-	}
-	fs := 1 / c.Interval.Seconds()
-	df := fs / float64(c.WindowSamples)
-	for k := range s.freqs {
-		s.freqs[k] = float64(k) * df
-	}
-	return s, nil
+	return &StreamEstimator{cfg: c, sd: sd}, nil
 }
 
 // SampleRate returns the configured poll rate in hertz.
@@ -258,9 +251,15 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 
 // estimate derives a batch-equivalent Result from the sliding spectrum.
 func (s *StreamEstimator) estimate() *Result {
-	_ = s.sd.PSDInto(s.power) // length is fixed at construction
+	buf := getSpectrumBuf(s.sd.Bins())
+	defer spectrumBufs.Put(buf)
+	_ = s.sd.PSDInto(buf.power) // sized to Bins() above
 	fs := s.SampleRate()
-	spec := dsp.Spectrum{Freqs: s.freqs, Power: s.power, SampleRate: fs}
+	df := fs / float64(s.cfg.WindowSamples)
+	for k := range buf.freqs {
+		buf.freqs[k] = float64(k) * df
+	}
+	spec := dsp.Spectrum{Freqs: buf.freqs, Power: buf.power, SampleRate: fs}
 	// DC is excluded from the energy budget, matching the batch
 	// estimator's default (DetrendMean / !IncludeDC).
 	const startBin = 1
@@ -272,8 +271,8 @@ func (s *StreamEstimator) estimate() *Result {
 	}
 	if s.cfg.EmitSpectrum {
 		res.Spectrum = &dsp.Spectrum{
-			Freqs:      append([]float64(nil), s.freqs...),
-			Power:      append([]float64(nil), s.power...),
+			Freqs:      append([]float64(nil), buf.freqs...),
+			Power:      append([]float64(nil), buf.power...),
 			SampleRate: fs,
 		}
 	}
@@ -291,4 +290,25 @@ func (s *StreamEstimator) estimate() *Result {
 		}
 	}
 	return res
+}
+
+// spectrumBuf is the emission-time scratch an estimate reads: the window
+// PSD and its frequency axis, one entry per one-sided bin.
+type spectrumBuf struct {
+	power, freqs []float64
+}
+
+// spectrumBufs pools emission scratch across every StreamEstimator, so
+// an estimator costs nothing between emissions beyond its sliding DFT.
+var spectrumBufs = sync.Pool{New: func() any { return new(spectrumBuf) }}
+
+// getSpectrumBuf borrows scratch resized to bins entries.
+func getSpectrumBuf(bins int) *spectrumBuf {
+	b := spectrumBufs.Get().(*spectrumBuf)
+	if cap(b.power) < bins {
+		b.power = make([]float64, bins)
+		b.freqs = make([]float64, bins)
+	}
+	b.power, b.freqs = b.power[:bins], b.freqs[:bins]
+	return b
 }

@@ -230,3 +230,29 @@ func TestStreamConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamEstimatorSteady measures the warm push path at the
+// serving defaults (window 256, an emission every 8 pushes), resyncs and
+// emissions included: one op is one point.
+func BenchmarkStreamEstimatorSteady(b *testing.B) {
+	st, err := NewStreamEstimator(StreamConfig{
+		Interval:      time.Second,
+		WindowSamples: 256,
+		EmitEvery:     8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = math.Sin(2*math.Pi*float64(i)/64) + 0.3*math.Sin(2*math.Pi*float64(i)/9)
+	}
+	for _, v := range vals[:256] {
+		st.Push(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Push(vals[i%len(vals)])
+	}
+}

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -131,6 +132,162 @@ func TestSlidingDFTReset(t *testing.T) {
 		if math.Abs(power[k]-want.Power[k]) > 1e-9 {
 			t.Fatalf("bin %d after reset: %g want %g", k, power[k], want.Power[k])
 		}
+	}
+}
+
+// TestSlidingDFTPrewarmIsZeroPaddedPrefix checks that before the window
+// fills, Window reports the pushed prefix behind leading zeros and PSDInto
+// its periodogram, on a fresh and on a reset sliding DFT alike, for
+// power-of-two and Bluestein-path lengths.
+func TestSlidingDFTPrewarmIsZeroPaddedPrefix(t *testing.T) {
+	for _, n := range []int{16, 100} {
+		sd, err := NewSlidingDFT(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		power := make([]float64, sd.Bins())
+		window := make([]float64, n)
+		for _, phase := range []string{"fresh", "after reset"} {
+			if phase == "after reset" {
+				// Warm up and past a resync first, so the reset has
+				// live bins and a wrapped ring to clear.
+				for i := 0; i < 2*n+3; i++ {
+					sd.Push(rng.NormFloat64())
+				}
+				sd.Reset()
+			}
+			prefix := make([]float64, 0, n)
+			for len(prefix) < n-1 {
+				v := 3 + math.Sin(float64(len(prefix))) + 0.2*rng.NormFloat64()
+				sd.Push(v)
+				prefix = append(prefix, v)
+				if sd.Warm() {
+					t.Fatalf("n=%d %s: warm after %d pushes", n, phase, len(prefix))
+				}
+				if err := sd.Window(window); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, n)
+				copy(want[n-len(prefix):], prefix)
+				for i := range want {
+					if window[i] != want[i] {
+						t.Fatalf("n=%d %s push %d: window = %v, want %v", n, phase, len(prefix), window, want)
+					}
+				}
+				if err := sd.PSDInto(power); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := Periodogram(want, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range power {
+					if diff := math.Abs(power[k] - ref.Power[k]); diff > 1e-9*(1+ref.Power[k]) {
+						t.Fatalf("n=%d %s push %d bin %d: sliding %g, zero-padded periodogram %g",
+							n, phase, len(prefix), k, power[k], ref.Power[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlidingDFTFirstFillIsExact checks that the window's first fill
+// derives the bins exactly even when the resync cadence does not divide
+// the window length, so no pre-warm recurrence state leaks into the first
+// warm spectrum.
+func TestSlidingDFTFirstFillIsExact(t *testing.T) {
+	const n = 64
+	sd, err := NewSlidingDFT(n, 3*n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 1e6 + math.Sin(2*math.Pi*float64(i)/7)
+		sd.Push(vals[i])
+	}
+	power := make([]float64, sd.Bins())
+	if err := sd.PSDInto(power); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]complex128, n)
+	for i, v := range vals {
+		want[i] = complex(v, 0)
+	}
+	fftInPlace(want, false)
+	ref := make([]float64, sd.Bins())
+	sd.psd(ref, want[:sd.Bins()])
+	for k := range power {
+		if power[k] != ref[k] {
+			t.Fatalf("bin %d: first fill %g, exact FFT %g", k, power[k], ref[k])
+		}
+	}
+}
+
+// TestSlidingDFTConcurrentStreams runs same-length sliding DFTs on
+// several goroutines at once, all sharing one twiddle table and scratch
+// pool, and requires every spectrum to match a serial run bit for bit.
+func TestSlidingDFTConcurrentStreams(t *testing.T) {
+	const n, pushes = 64, 5 * 64
+	stream := make([]float64, pushes)
+	for i := range stream {
+		stream[i] = math.Sin(2*math.Pi*float64(i)/11) + 0.1*float64(i%5)
+	}
+	spectra := func() [][]float64 {
+		sd, _ := NewSlidingDFT(n, 0) // n is a valid length
+		var out [][]float64
+		for i, v := range stream {
+			sd.Push(v)
+			if i%9 == 0 {
+				power := make([]float64, sd.Bins())
+				_ = sd.PSDInto(power) // sized to Bins()
+				out = append(out, power)
+			}
+		}
+		return out
+	}
+	want := spectra()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := spectra()
+			for i := range want {
+				for k := range want[i] {
+					if got[i][k] != want[i][k] {
+						t.Errorf("spectrum %d bin %d: %g concurrently, %g serially", i, k, got[i][k], want[i][k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSlidingDFTSharesTables checks that sliding DFTs of one window
+// length share a single twiddle table.
+func TestSlidingDFTSharesTables(t *testing.T) {
+	a, err := NewSlidingDFT(48, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSlidingDFT(48, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewSlidingDFT(50, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.tables != b.tables {
+		t.Fatal("same-length sliding DFTs built separate tables")
+	}
+	if a.tables == c.tables || len(c.tables.twiddle) != c.Bins() {
+		t.Fatalf("length-50 tables: shared=%v bins=%d twiddles=%d", a.tables == c.tables, c.Bins(), len(c.tables.twiddle))
 	}
 }
 

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,8 @@ type IngestEstimator struct {
 	// per-series fast path never takes the estimator lock to bump them:
 	// probes counts interval locks (a series graduating from the gap
 	// probe to a live analysis window), reprobes the drift-triggered
-	// re-locks, retunes the clean-streak SetNyquist handoffs, and
+	// re-locks, retunes the clean-streak SetNyquist handoffs (counted
+	// whether or not the store's rate changes), and
 	// aliasedRefreshes every estimate refresh carrying the aliased
 	// signature.
 	probes           atomic.Int64
@@ -313,7 +315,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 				s.drift = 0
 			}
 			if s.drift > e.cfg.ProbeGaps {
-				s.reprobe(p)
+				s.reprobe(p, e.cfg.ProbeGaps+1)
 				e.reprobesTotal.Add(1)
 				return
 			}
@@ -394,12 +396,27 @@ func (e *IngestEstimator) evictOneLocked(now int64) bool {
 	return false
 }
 
+// probeStackGaps sizes probe's on-stack gap buffer: at the default
+// ProbeGaps of 8 the probe buffer holds at most 4·(8+1)+1 points (its cap
+// plus the point that triggers the trim), hence this many gaps.
+const probeStackGaps = 4 * (8 + 1)
+
 // probe accumulates pre-lock points and locks the interval once enough
 // gaps are seen. Called with s.mu held.
 func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
+	if s.pending == nil {
+		s.pending = make([]series.Point, 0, e.cfg.ProbeGaps+1)
+	}
 	s.pending = append(s.pending, p)
 	s.lastTime, s.haveLast = p.Time, true
-	gaps := make([]time.Duration, 0, len(s.pending)-1)
+	if len(s.pending)-1 < e.cfg.ProbeGaps {
+		// Too few gaps to lock, whatever their signs.
+		return
+	}
+	// At the default ProbeGaps the gaps fit this stack array, so probing
+	// allocates nothing beyond the probe buffer.
+	var stack [probeStackGaps]time.Duration
+	gaps := stack[:0]
 	for i := 1; i < len(s.pending); i++ {
 		if g := s.pending[i].Time.Sub(s.pending[i-1].Time); g > 0 {
 			gaps = append(gaps, g)
@@ -413,7 +430,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 		}
 		return
 	}
-	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
+	slices.Sort(gaps)
 	interval := gaps[len(gaps)/2]
 	est, err := core.NewStreamEstimator(core.StreamConfig{
 		Interval:      interval,
@@ -440,15 +457,16 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 }
 
 // reprobe drops the locked grid after sustained gap drift and restarts
-// the probe from the current point. Called with s.mu held.
-func (s *ingestSeries) reprobe(p series.Point) {
+// the probe from the current point into a probe buffer of probeCap
+// points. Called with s.mu held.
+func (s *ingestSeries) reprobe(p series.Point, probeCap int) {
 	s.est = nil
 	s.interval = 0
 	s.drift = 0
 	s.cleanStreak = 0
 	s.last = nil
 	s.reprobes++
-	s.pending = append(s.pending[:0], p)
+	s.pending = append(make([]series.Point, 0, probeCap), p)
 	s.lastTime, s.haveLast = p.Time, true
 }
 
@@ -531,8 +549,10 @@ func (e *IngestEstimator) Probes() int64 { return e.probes.Load() }
 // across all series.
 func (e *IngestEstimator) Reprobes() int64 { return e.reprobesTotal.Load() }
 
-// Retunes returns the number of clean-streak estimate refreshes that
-// (re)tuned retention via SetNyquist.
+// Retunes returns the number of clean-streak estimate refreshes handed
+// to the store via SetNyquist. Each handoff counts, including those that
+// confirm the rate the store already holds (the store skips those
+// without retuning).
 func (e *IngestEstimator) Retunes() int64 { return e.retunes.Load() }
 
 // AliasedRefreshes returns the number of estimate refreshes that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,5 +324,88 @@ func TestIngestEstimatorLRUEviction(t *testing.T) {
 	}
 	if got := e2.Evicted(); got != 0 {
 		t.Fatalf("Evicted() = %d, want 0", got)
+	}
+}
+
+// TestIngestEstimatorMemoryPerSeries bounds the estimator's heap per
+// series at the default 256-sample window, in the two shapes that matter
+// at high cardinality: short series just past the interval probe (locked,
+// never warm) and series warmed past a full window.
+func TestIngestEstimatorMemoryPerSeries(t *testing.T) {
+	cases := []struct {
+		name           string
+		series, points int
+		maxBytes       float64
+	}{
+		{"locked-cold", 4096, 48, 4 << 10},
+		{"warm", 256, 256 + 64, 6 << 10},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ids := make([]string, c.series)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("mem/%05d", i)
+			}
+			pts := make([]series.Point, c.points)
+			for i := range pts {
+				pts[i] = series.Point{
+					Time:  ingestStart.Add(time.Duration(i) * 10 * time.Second),
+					Value: twoTone(1.0/640, 1.0/160, float64(10*i)),
+				}
+			}
+			before := heapAfterGC()
+			e := NewIngestEstimator(nil, IngestConfig{})
+			for _, id := range ids {
+				if n := e.ObserveRun(id, pts); n != len(pts) {
+					t.Fatalf("%s: observed %d of %d points", id, n, len(pts))
+				}
+			}
+			perSeries := float64(heapAfterGC()-before) / float64(c.series)
+			if adv, _ := e.Advice(ids[0]); adv.Interval == 0 || adv.Warm != (c.points > 256+8) {
+				t.Fatalf("series state: interval %v warm %v", adv.Interval, adv.Warm)
+			}
+			runtime.KeepAlive(e)
+			t.Logf("%d series x %d points: %.0f heap bytes per series", c.series, c.points, perSeries)
+			if perSeries > c.maxBytes {
+				t.Errorf("%.0f heap bytes per series, want at most %.0f", perSeries, c.maxBytes)
+			}
+		})
+	}
+}
+
+// heapAfterGC returns the live heap after a full collection.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// BenchmarkIngestEstimatorNewSeries measures a series' whole life at high
+// cardinality: first sight, the interval probe, the lock and 39 locked
+// points that never fill the 256-sample window — 48 points per op, the
+// shape of a short-lived or freshly renamed series. Estimators rotate
+// every 4096 series so the live heap stays bounded.
+func BenchmarkIngestEstimatorNewSeries(b *testing.B) {
+	const perEstimator = 4096
+	ids := make([]string, perEstimator)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench/%05d", i)
+	}
+	pts := make([]series.Point, 48)
+	for i := range pts {
+		pts[i] = series.Point{
+			Time:  ingestStart.Add(time.Duration(i) * 10 * time.Second),
+			Value: twoTone(1.0/640, 1.0/160, float64(10*i)),
+		}
+	}
+	var e *IngestEstimator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perEstimator == 0 {
+			e = NewIngestEstimator(nil, IngestConfig{})
+		}
+		e.ObserveRun(ids[i%perEstimator], pts)
 	}
 }

@@ -344,14 +344,23 @@ func (db *DB) SealAll() int {
 // the estimate→retain loop: live estimators feed their current estimate
 // here and retention follows the signal. Non-positive or non-finite rates
 // are ignored. Existing buckets keep their widths; only future buckets
-// use the new grid.
+// use the new grid. Re-setting an existing series' current rate is a
+// no-op checked under the shard read lock: live estimators refresh often
+// and mostly confirm the rate they last set.
 func (db *DB) SetNyquistRate(id string, rate float64) {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		return
 	}
 	sh := db.shardFor(id)
+	sh.mu.RLock()
+	m := sh.series[id]
+	unchanged := m != nil && m.nyquist == rate
+	sh.mu.RUnlock()
+	if unchanged {
+		return
+	}
 	sh.mu.Lock()
-	m := sh.getOrCreate(id, &db.cfg.Retention)
+	m = sh.getOrCreate(id, &db.cfg.Retention)
 	m.nyquist = rate
 	m.retune(&db.cfg.Retention)
 	sh.mu.Unlock()

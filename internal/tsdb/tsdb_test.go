@@ -155,6 +155,46 @@ func TestRetuneAppliesToFutureBuckets(t *testing.T) {
 	}
 }
 
+// TestSetNyquistRateUnchangedIsNoop checks that re-setting a series'
+// current rate neither retunes nor drops the tiers' cached next-bucket
+// grid starts, and that the stored result equals a single set's.
+func TestSetNyquistRateUnchangedIsNoop(t *testing.T) {
+	rc := RetentionConfig{RawCapacity: 8, TierCapacity: 64, Tiers: 2, Fanout: 4, Headroom: 1.2}
+	once, every := New(Config{Retention: rc}), New(Config{Retention: rc})
+	once.SetNyquistRate("a", 0.1)
+	for i := 0; i < 300; i++ {
+		p := series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i % 13)}
+		_ = once.Append("a", p)
+		every.SetNyquistRate("a", 0.1)
+		_ = every.Append("a", p)
+	}
+	m, ref := every.shardFor("a").series["a"], once.shardFor("a").series["a"]
+	if m.tiers[0].next.IsZero() {
+		t.Fatal("an unchanged rate dropped the cached next grid start")
+	}
+	for k := range m.tiers {
+		if m.tiers[k].next != ref.tiers[k].next || m.tiers[k].width != ref.tiers[k].width {
+			t.Fatalf("tier %d: next %v width %v after a set per append, %v %v after one set",
+				k, m.tiers[k].next, m.tiers[k].width, ref.tiers[k].next, ref.tiers[k].width)
+		}
+	}
+	a, _ := once.Full("a")
+	b, _ := every.Full("a")
+	if len(a.Points) != len(b.Points) {
+		t.Fatalf("%d points after one set, %d after a set per append", len(a.Points), len(b.Points))
+	}
+	for i := range a.Points {
+		if a.Points[i] != b.Points[i] {
+			t.Fatalf("point %d: %+v after one set, %+v after a set per append", i, a.Points[i], b.Points[i])
+		}
+	}
+	rate := 0.05
+	every.SetNyquistRate("a", rate)
+	if !m.tiers[0].next.IsZero() || m.tiers[0].width != time.Duration(float64(time.Second)/(1.2*rate)) {
+		t.Fatalf("a changed rate did not retune: next %v width %v", m.tiers[0].next, m.tiers[0].width)
+	}
+}
+
 func TestQueryTierSelection(t *testing.T) {
 	db := New(Config{Retention: RetentionConfig{RawCapacity: 50, TierCapacity: 100, Tiers: 2, Fanout: 4}})
 	appendN(db, "a", 500, time.Second)
