@@ -29,6 +29,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -64,98 +65,111 @@ var (
 	maxUnixNano = time.Unix(0, math.MaxInt64)
 )
 
-// bitWriter packs MSB-first bit fields into a byte slice.
+// bitWriter packs MSB-first bit fields into a byte slice. Bits gather in
+// a 64-bit accumulator and leave it one big-endian word at a time, so the
+// encoded bytes are exactly those of a bit-at-a-time MSB-first writer.
 type bitWriter struct {
 	buf  []byte
-	cur  byte
-	free uint // bits still free in cur (8 when cur is empty)
+	acc  uint64 // pending bits, left-aligned
+	nacc uint   // pending bit count, always < 64
 }
 
-func newBitWriter() *bitWriter { return &bitWriter{free: 8} }
+func newBitWriter() *bitWriter { return &bitWriter{} }
+
+func (w *bitWriter) reset() {
+	w.buf = w.buf[:0]
+	w.acc, w.nacc = 0, 0
+}
 
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b, 1) }
 
 // writeBits appends the low n bits of v, most significant first. n ≤ 64.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		take := n
-		if take > w.free {
-			take = w.free
-		}
-		shift := n - take
-		chunk := byte(v>>shift) & byte((1<<take)-1)
-		w.cur |= chunk << (w.free - take)
-		w.free -= take
-		n -= take
-		if w.free == 0 {
-			w.buf = append(w.buf, w.cur)
-			w.cur = 0
-			w.free = 8
-		}
+	v <<= 64 - n // left-align the field; drops bits above n (n = 0 → 0)
+	w.acc |= v >> w.nacc
+	if w.nacc+n < 64 {
+		w.nacc += n
+		return
 	}
+	// The accumulator is full: emit it and keep the field's spill.
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << (64 - w.nacc) // zero when the whole field fitted
+	w.nacc = w.nacc + n - 64
 }
 
-// bytes returns the encoded stream, flushing any partial byte.
+// bytes returns the encoded stream, flushing the pending bits as whole
+// bytes (the last one zero-padded) past the end of buf without consuming
+// them.
 func (w *bitWriter) bytes() []byte {
-	if w.free == 8 {
-		return w.buf
+	out := w.buf
+	for i := uint(0); i < w.nacc; i += 8 {
+		out = append(out, byte(w.acc>>(56-i)))
 	}
-	return append(w.buf, w.cur)
+	return out
 }
 
 // size returns the current encoded size in bytes, counting a partial
 // byte as a full one.
-func (w *bitWriter) size() int {
-	n := len(w.buf)
-	if w.free != 8 {
-		n++
-	}
-	return n
-}
+func (w *bitWriter) size() int { return len(w.buf) + int(w.nacc+7)/8 }
 
-// bitReader consumes MSB-first bit fields from a byte slice. It is a
-// value type so concurrent readers can each iterate a shared block
-// without touching shared state.
+// bitReader consumes MSB-first bit fields from a byte slice through a
+// left-aligned 64-bit window refilled by one 8-byte load. It is a value
+// type so concurrent readers can each iterate a shared block without
+// touching shared state.
 type bitReader struct {
 	data []byte
-	byte int  // index of the next byte to load from
-	left uint // bits not yet consumed in data[byte]
+	pos  int    // next byte of data not yet counted into the window
+	win  uint64 // unread bits, left-aligned
+	nwin uint   // valid bits in win
 	err  error
 }
 
-func newBitReader(data []byte) bitReader {
-	r := bitReader{data: data}
-	if len(data) > 0 {
-		r.left = 8
+func newBitReader(data []byte) bitReader { return bitReader{data: data} }
+
+// refill tops the window up to at least 56 valid bits, or to every
+// remaining bit near the end of data. The window bits past the valid
+// ones are either zero or the stream's own next bits, so OR-ing the same
+// bytes in again on the next refill is harmless.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.data) {
+		r.win |= binary.BigEndian.Uint64(r.data[r.pos:]) >> r.nwin
+		r.pos += int(63-r.nwin) >> 3
+		r.nwin |= 56
+		return
 	}
-	return r
+	for r.nwin <= 56 && r.pos < len(r.data) {
+		r.win |= uint64(r.data[r.pos]) << (56 - r.nwin)
+		r.pos++
+		r.nwin += 8
+	}
 }
 
 func (r *bitReader) readBit() uint64 { return r.readBits(1) }
 
-// readBits returns the next n bits as the low bits of a uint64. On
-// underflow it sets err and returns 0.
+// readBits returns the next n bits (n ≤ 64) as the low bits of a uint64.
+// Fields wider than the 56 bits one refill guarantees are read in two
+// parts. On underflow it sets err, exhausts the reader (every later read
+// fails too) and returns 0.
 func (r *bitReader) readBits(n uint) uint64 {
-	var v uint64
-	for n > 0 {
-		if r.byte >= len(r.data) {
-			r.err = ErrCorruptBlock
+	if n > 56 {
+		hi := r.readBits(32)
+		lo := r.readBits(n - 32)
+		if r.err != nil {
 			return 0
 		}
-		take := n
-		if take > r.left {
-			take = r.left
-		}
-		shift := r.left - take
-		chunk := (r.data[r.byte] >> shift) & byte((1<<take)-1)
-		v = v<<take | uint64(chunk)
-		r.left -= take
-		n -= take
-		if r.left == 0 {
-			r.byte++
-			r.left = 8
+		return hi<<(n-32) | lo
+	}
+	if r.nwin < n {
+		r.refill()
+		if r.nwin < n {
+			r.err = ErrCorruptBlock
+			r.pos, r.win, r.nwin = len(r.data), 0, 0
+			return 0
 		}
 	}
+	v := r.win >> (64 - n) // n = 0 → 0
+	r.win <<= n
+	r.nwin -= n
 	return v
 }
 
@@ -295,8 +309,7 @@ func (b *BlockBuilder) Size() int { return b.w.size() }
 
 // Reset clears the builder for a fresh block, keeping the buffer.
 func (b *BlockBuilder) Reset() {
-	b.w.buf = b.w.buf[:0]
-	b.w.cur, b.w.free = 0, 8
+	b.w.reset()
 	*b = BlockBuilder{w: b.w}
 }
 
@@ -382,6 +395,18 @@ func RebuildBlock(data []byte, n int) (Block, error) {
 		return Block{}, ErrCorruptBlock
 	}
 	return blk, nil
+}
+
+// DecodeBlock decodes a persisted payload (Data) of n points (Len)
+// straight into dst, without building a Block: replay needs the points,
+// not a retained block. It fails exactly where RebuildBlock does, with
+// ErrCorruptBlock. dst may be a buffer reused across calls; nothing
+// returned aliases data.
+func DecodeBlock(data []byte, n int, dst []series.Point) ([]series.Point, error) {
+	if n <= 0 {
+		return dst, ErrCorruptBlock
+	}
+	return Block{data: data, n: n}.Points(dst)
 }
 
 // First returns the first (oldest) timestamp; meaningless when Len is 0.
@@ -526,8 +551,7 @@ func newBucketBlockBuilder() *bucketBlockBuilder {
 }
 
 func (b *bucketBlockBuilder) reset() {
-	b.w.buf = b.w.buf[:0]
-	b.w.cur, b.w.free = 0, 8
+	b.w.reset()
 	*b = bucketBlockBuilder{w: b.w}
 }
 

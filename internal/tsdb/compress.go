@@ -352,17 +352,33 @@ func (c *compBuckets) size() int { return c.n }
 // push appends one finalized bucket, returning evicted buckets (oldest
 // first, reusable buffer) once capacity is exceeded.
 func (c *compBuckets) push(b bucket) []bucket {
+	if c.add(b) {
+		//nyquist:allow-alloc eviction happens at capacity, once per sealed block
+		return c.evictOldest()
+	}
+	return nil
+}
+
+// pushDrop is push for a tier whose evictions leave the store: it
+// returns the evicted sample count without decoding the sealed block.
+func (c *compBuckets) pushDrop(b bucket) int64 {
+	if c.add(b) {
+		seg := c.popOldest()
+		return seg.samples()
+	}
+	return 0
+}
+
+// add appends one finalized bucket, sealing a full active run, and
+// reports whether capacity is now exceeded by a whole sealed segment.
+func (c *compBuckets) add(b bucket) (overflow bool) {
 	c.active = append(c.active, b)
 	c.n++
 	if len(c.active) >= c.blockLen {
 		//nyquist:allow-alloc seal fires once per blockLen buckets; its cost amortizes to ~0 per append
 		c.seal()
 	}
-	if c.capacity > 0 && c.n > c.capacity && len(c.segs) > 0 {
-		//nyquist:allow-alloc eviction happens at capacity, once per sealed block
-		return c.evictOldest()
-	}
-	return nil
+	return c.capacity > 0 && c.n > c.capacity && len(c.segs) > 0
 }
 
 func (c *compBuckets) seal() {
@@ -397,15 +413,23 @@ func (c *compBuckets) seal() {
 	c.active = c.active[:0]
 }
 
+// evictOldest removes the oldest sealed segment and returns its buckets
+// decoded, oldest first, in a reused buffer.
 func (c *compBuckets) evictOldest() []bucket {
+	seg := c.popOldest()
+	c.evbuf = c.evbuf[:0]
+	seg.each(func(b bucket) { c.evbuf = append(c.evbuf, b) })
+	return c.evbuf
+}
+
+// popOldest removes the oldest sealed segment from the tier.
+func (c *compBuckets) popOldest() bucketSeg {
 	seg := c.segs[0]
 	copy(c.segs, c.segs[1:])
 	c.segs[len(c.segs)-1] = bucketSeg{}
 	c.segs = c.segs[:len(c.segs)-1]
-	c.evbuf = c.evbuf[:0]
-	seg.each(func(b bucket) { c.evbuf = append(c.evbuf, b) })
 	c.n -= seg.size()
-	return c.evbuf
+	return seg
 }
 
 // bounds returns the oldest bucket start and newest coverage end.

@@ -113,6 +113,97 @@ func TestCompressedCascade(t *testing.T) {
 	}
 }
 
+// decodedRetention walks a series' tiers by decoding every bucket, sealed
+// blocks included, and returns the raw point count and each tier's
+// sample total (finalized plus in-progress buckets).
+func decodedRetention(db *DB, id string) (raw int64, tierSamples []int64) {
+	sh := db.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	m := sh.series[id]
+	for _, tr := range m.tiers {
+		var n int64
+		tr.each(time.Time{}, time.Time{}, func(b bucket) { n += b.count })
+		if tr.curSet {
+			n += tr.cur.count
+		}
+		tierSamples = append(tierSamples, n)
+	}
+	return int64(m.rawSize()), tierSamples
+}
+
+// checkConservation requires the series' counters to match a decode of
+// what it retains: Compacted is every append that left the raw store,
+// each tier's Samples is its decoded bucket-count total, and Dropped is
+// exactly what the last tier let go — appends minus everything retained.
+func checkConservation(t *testing.T, db *DB, id, context string) SeriesStats {
+	t.Helper()
+	st, err := db.SeriesStats(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, tiers := decodedRetention(db, id)
+	if len(tiers) != len(st.Tiers) {
+		t.Fatalf("%s: %d tiers decoded, stats report %d", context, len(tiers), len(st.Tiers))
+	}
+	retained := raw
+	for k, n := range tiers {
+		if st.Tiers[k].Samples != n {
+			t.Fatalf("%s: tier %d reports %d samples, decoding finds %d", context, k, st.Tiers[k].Samples, n)
+		}
+		retained += n
+	}
+	if st.Compacted != st.Appends-raw {
+		t.Fatalf("%s: compacted %d, want appends %d - raw %d", context, st.Compacted, st.Appends, raw)
+	}
+	if st.Dropped != st.Appends-retained {
+		t.Fatalf("%s: dropped %d, want appends %d - decoded retained %d", context, st.Dropped, st.Appends, retained)
+	}
+	return *st
+}
+
+// TestLastTierDropAccounting drives a long cascade — jittered cadence,
+// Nyquist retunes changing every tier's width mid-stream — through three
+// tiers until the last one has evicted many times, in ring and in
+// compressed mode. The last tier counts what it evicts from sealed-block
+// metadata without decoding; the counters must match a reference computed
+// by decoding everything retained, live and after a snapshot restore into
+// smaller tiers (whose restore loop evicts through the same path).
+func TestLastTierDropAccounting(t *testing.T) {
+	for _, compress := range []int{0, 16} {
+		t.Run(fmt.Sprintf("compress=%d", compress), func(t *testing.T) {
+			rc := RetentionConfig{RawCapacity: 64, TierCapacity: 24, Tiers: 3, Fanout: 4, CompressBlock: compress}
+			db := New(Config{Shards: 1, StrictAppend: true, Retention: rc})
+			const id = "host/metric"
+			ts := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+			for i := 0; i < 40000; i++ {
+				if i%5000 == 0 {
+					db.SetNyquistRate(id, []float64{0.5, 0.05, 0.2, 0.01}[(i/5000)%4])
+				}
+				ts = ts.Add(time.Second + time.Duration(i*7919%1000)*time.Millisecond)
+				if err := db.Append(id, series.Point{Time: ts, Value: float64(i%97) * 0.125}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := checkConservation(t, db, id, "live")
+			if st.Dropped == 0 {
+				t.Fatalf("the last tier never evicted: %+v", st)
+			}
+
+			rc.TierCapacity = 6
+			dst := New(Config{Shards: 1, StrictAppend: true, Retention: rc})
+			if err := db.ExportSeries(func(s SeriesSnapshot) error { return dst.RestoreSeries(s) }); err != nil {
+				t.Fatal(err)
+			}
+			rst := checkConservation(t, dst, id, "restored into smaller tiers")
+			if rst.Appends != st.Appends || rst.Dropped <= st.Dropped {
+				t.Fatalf("restore into smaller tiers: appends %d dropped %d, want appends %d and more than %d dropped",
+					rst.Appends, rst.Dropped, st.Appends, st.Dropped)
+			}
+		})
+	}
+}
+
 // TestCompressedFootprint pins the reason the serving store compresses
 // at all: on the canonical diurnal workload the sealed raw payload costs
 // at most 2 bytes per point, against 32 bytes for a []Point slice.

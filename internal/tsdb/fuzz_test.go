@@ -1,7 +1,10 @@
 package tsdb
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -259,6 +262,207 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				t.Fatalf("block bounds [%v, %v], want [%v, %v]",
 					blk.First(), blk.Last(), want[0].Time, want[len(want)-1].Time)
 			}
+		}
+	})
+}
+
+// refBitWriter is the byte-at-a-time MSB-first bit writer the word-wide
+// bitWriter replaced, kept as the byte-for-byte reference of the format.
+type refBitWriter struct {
+	buf  []byte
+	cur  byte
+	free uint // bits still free in cur (8 when cur is empty)
+}
+
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	for n > 0 {
+		take := min(n, w.free)
+		shift := n - take
+		chunk := byte(v>>shift) & byte((1<<take)-1)
+		w.cur |= chunk << (w.free - take)
+		w.free -= take
+		n -= take
+		if w.free == 0 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.free = 0, 8
+		}
+	}
+}
+
+func (w *refBitWriter) bytes() []byte {
+	if w.free == 8 {
+		return w.buf
+	}
+	return append(w.buf, w.cur)
+}
+
+// FuzzBitStream writes a fuzzer-chosen sequence of 1- to 64-bit fields
+// (9-byte records: width byte, then the value's 8 bytes, garbage above
+// the width included) and requires:
+//
+//   - the encoded bytes, and the size after every field, equal the
+//     byte-at-a-time reference writer's;
+//   - every field reads back as its low bits from the whole stream and
+//     from every truncation of it, where exactly the fields whose last bit
+//     survives the cut decode, and the first field past it fails with
+//     ErrCorruptBlock and leaves the reader failed.
+func FuzzBitStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 56, 9, 10, 11, 12, 13, 14, 15, 16, 2, 0, 0, 0, 0, 0, 0, 0, 3})
+	seed := make([]byte, 0, 9*20)
+	for i := 0; i < 20; i++ {
+		seed = append(seed, byte(i*13), 0xa5, 0x5a, byte(i), 0, 0xff, byte(i*7), 0x80, 0x01)
+	}
+	f.Add(seed)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type field struct {
+			v uint64
+			n uint
+		}
+		var fields []field
+		w := newBitWriter()
+		ref := &refBitWriter{free: 8}
+		for i := 0; i+9 <= len(data); i += 9 {
+			n := uint(data[i])%64 + 1
+			v := uint64(0)
+			for k := 1; k <= 8; k++ {
+				v = v<<8 | uint64(data[i+k])
+			}
+			w.writeBits(v, n)
+			ref.writeBits(v, n)
+			if w.size() != len(ref.bytes()) {
+				t.Fatalf("field %d: size %d, reference %d", len(fields), w.size(), len(ref.bytes()))
+			}
+			fields = append(fields, field{v: v & (math.MaxUint64 >> (64 - n)), n: n})
+		}
+		enc := w.bytes()
+		if !bytes.Equal(enc, ref.bytes()) {
+			t.Fatalf("encoded %x, reference %x", enc, ref.bytes())
+		}
+		for cut := 0; cut <= len(enc); cut++ {
+			r := newBitReader(enc[:cut])
+			end := uint(0)
+			for i, fl := range fields {
+				end += fl.n
+				got := r.readBits(fl.n)
+				if end <= uint(8*cut) {
+					if r.err != nil || got != fl.v {
+						t.Fatalf("cut %d field %d (%d bits): got %x err %v, want %x", cut, i, fl.n, got, r.err, fl.v)
+					}
+					continue
+				}
+				if !errors.Is(r.err, ErrCorruptBlock) || got != 0 {
+					t.Fatalf("cut %d field %d ends at bit %d: got %x err %v, want ErrCorruptBlock", cut, i, end, got, r.err)
+				}
+			}
+		}
+	})
+}
+
+// FuzzBucketBlockRoundTrip drives the summary-tier bucket codec with
+// fuzzer-chosen 16-byte records (flag byte, 3-byte start gap, 2-byte
+// width, 2-byte count, 8 bytes of value bits spread over min/max/sum)
+// and checks its contract:
+//
+//   - accepted buckets decode back exactly: the same start and end
+//     instants, identical min/max/sum bits (NaN payloads included) and
+//     counts, wide count swings included;
+//   - a start earlier than the previous one is rejected with
+//     ErrOutOfOrder, an end past the int64-nanosecond range with
+//     ErrTimeRange, and either leaves the block untouched;
+//   - the block's length, oldest start, newest end and sample total
+//     match the accepted buckets.
+func FuzzBucketBlockRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("regular-tier-grid-then-a-retune-and-a-count-swing-0123456789abcdef"))
+	seed := make([]byte, 0, 16*10)
+	for i := 0; i < 10; i++ {
+		seed = append(seed, 0x04, 0, 0, 60, 0, 60, 0, byte(i+1), 0x40, 0x49, 0x0f, 0xdb, 0, 0, 0, byte(i))
+	}
+	f.Add(seed) // a regular one-minute grid with slowly moving values
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := newBucketBlockBuilder()
+		var want []bucket
+		nano := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+		last := nano
+		var lastEnd, samples int64
+		for i := 0; i+16 <= len(data); i += 16 {
+			flags := data[i]
+			gap := int64(data[i+1])<<16 | int64(data[i+2])<<8 | int64(data[i+3])
+			width := int64(data[i+4])<<8 | int64(data[i+5])
+			count := int64(int16(uint16(data[i+6])<<8 | uint16(data[i+7])))
+			var vbits uint64
+			for k := 0; k < 8; k++ {
+				vbits = vbits<<8 | uint64(data[i+8+k])
+			}
+			// Scale gap and width by the flag's units: ns, ms, s, or
+			// 10^13 ns — the last walks ends past the int64 range.
+			units := [4]int64{1, 1_000_000, 1_000_000_000, 10_000_000_000_000}
+			gap *= units[(flags>>1)%4]
+			width *= units[(flags>>3)%4]
+			if flags&1 == 1 {
+				gap = -gap // an out-of-order (or same-start) attempt
+			}
+			if flags&0x20 != 0 {
+				count = int64(vbits) // a count swing that needs the 64-bit field
+			}
+			nano += gap
+			bk := bucket{
+				start: time.Unix(0, nano),
+				end:   time.Unix(0, nano).Add(time.Duration(width)),
+				min:   math.Float64frombits(vbits),
+				max:   math.Float64frombits(bits.RotateLeft64(vbits, 17)),
+				sum:   math.Float64frombits(vbits ^ 0x8000000000000000),
+				count: count,
+			}
+			var wantErr error
+			switch {
+			case nano > math.MaxInt64-width:
+				wantErr = ErrTimeRange
+			case b.n > 0 && nano < last:
+				wantErr = ErrOutOfOrder
+			}
+			if err := b.append(bk); err != wantErr {
+				t.Fatalf("bucket at %d width %d after %d: got %v, want %v", nano, width, last, err, wantErr)
+			}
+			if wantErr != nil {
+				nano = last // the builder must be untouched; resync our mirror
+				continue
+			}
+			if len(want) == 0 || nano+width > lastEnd {
+				lastEnd = nano + width
+			}
+			last = nano
+			samples += count
+			want = append(want, bk)
+		}
+		blk := b.finish()
+		if blk.n != len(want) {
+			t.Fatalf("block len %d, want %d", blk.n, len(want))
+		}
+		var got []bucket
+		if err := blk.each(func(bk bucket) { got = append(got, bk) }); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d buckets, want %d", len(got), len(want))
+		}
+		for i := range want {
+			a, g := want[i], got[i]
+			if !a.start.Equal(g.start) || !a.end.Equal(g.end) ||
+				math.Float64bits(a.min) != math.Float64bits(g.min) ||
+				math.Float64bits(a.max) != math.Float64bits(g.max) ||
+				math.Float64bits(a.sum) != math.Float64bits(g.sum) ||
+				a.count != g.count {
+				t.Fatalf("bucket %d:\n got %+v\nwant %+v", i, g, a)
+			}
+		}
+		if len(want) > 0 && (blk.firstNano != want[0].start.UnixNano() || blk.lastEnd != lastEnd || blk.samples != samples) {
+			t.Fatalf("block bounds [%d, %d] samples %d, want [%d, %d] samples %d",
+				blk.firstNano, blk.lastEnd, blk.samples, want[0].start.UnixNano(), lastEnd, samples)
 		}
 	})
 }

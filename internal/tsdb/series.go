@@ -154,6 +154,19 @@ func (t *tier) push(b bucket) []bucket {
 	return t.cb.push(b)
 }
 
+// pushDrop is push for the last tier, whose evictions leave the store:
+// it returns the evicted sample count, read off a sealed block without
+// decoding it.
+func (t *tier) pushDrop(b bucket) int64 {
+	if t.ring != nil {
+		if ev, wasEvicted := t.ring.push(b); wasEvicted {
+			return ev.count
+		}
+		return 0
+	}
+	return t.cb.pushDrop(b)
+}
+
 // size returns the number of finalized buckets (excluding cur).
 func (t *tier) size() int {
 	if t.ring != nil {
@@ -354,17 +367,25 @@ func (m *memSeries) ingest(k int, b bucket) {
 			return
 		}
 	}
-	for _, ev := range t.push(t.cur) {
-		if k+1 < len(m.tiers) {
-			m.ingest(k+1, ev)
-		} else {
-			m.dropped += ev.count
-		}
-	}
+	m.finalize(k, t.cur)
 	b.start = gridStart
 	b.end = gridStart.Add(t.width)
 	t.cur = b
 	t.next = gridStart.Add(t.width)
+}
+
+// finalize pushes a finished bucket into tier k, cascading what it
+// evicts into tier k+1. The last tier's evictions leave the store and
+// are only counted into dropped, without decoding them.
+func (m *memSeries) finalize(k int, b bucket) {
+	t := m.tiers[k]
+	if k+1 == len(m.tiers) {
+		m.dropped += t.pushDrop(b)
+		return
+	}
+	for _, ev := range t.push(b) {
+		m.ingest(k+1, ev)
+	}
 }
 
 // ensureTiers lazily creates the downsampled tiers on first compaction,

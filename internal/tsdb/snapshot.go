@@ -164,13 +164,7 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) error {
 		for k := len(s.Tiers) - 1; k >= 0; k-- {
 			t := m.tiers[k]
 			for _, bs := range s.Tiers[k].Buckets {
-				for _, ev := range t.push(bs.bucket()) {
-					if k+1 < len(m.tiers) {
-						m.ingest(k+1, ev)
-					} else {
-						m.dropped += ev.count
-					}
-				}
+				m.finalize(k, bs.bucket())
 			}
 			if s.Tiers[k].Cur != nil {
 				t.cur = s.Tiers[k].Cur.bucket()

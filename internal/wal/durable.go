@@ -195,7 +195,7 @@ func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts O
 	d.bytesAtSnap = log.Stats().Bytes
 	store.DB().OnSeal(func(id string, blk tsdb.Block) {
 		e := enc{}
-		encodeBlockRec(&e, blockRec{id: id, blk: blk})
+		encodeBlockRec(&e, id, blk)
 		// Append counts every failure — including append-after-close —
 		// into LogStats.Errors, so a dropped block record surfaces as
 		// degraded durability in /metrics and the scrub report. Under
@@ -260,6 +260,13 @@ func (d *Durable) recover() error {
 	if states == nil {
 		states = map[string]stateRec{}
 	}
+	// Replay scratch, reused record to record: every block record is
+	// decoded once, straight from the replay buffer, into pts, and its
+	// points past the watermark land through batch.
+	var (
+		pts   []series.Point
+		batch []tsdb.BatchPoint
+	)
 	for _, idx := range segs {
 		if idx < fromSeg {
 			continue
@@ -267,26 +274,26 @@ func (d *Durable) recover() error {
 		records, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(typ byte, payload []byte) error {
 			switch typ {
 			case recBlock:
-				r, err := decodeBlockRec(payload)
+				id, decoded, err := decodeBlockRec(payload, pts[:0])
+				pts = decoded
 				if err != nil {
 					return err
 				}
-				pts, err := r.blk.Points(nil)
-				if err != nil {
-					return err
-				}
-				w, hasW := watermark[r.id]
+				w, hasW := watermark[id]
+				batch = batch[:0]
 				for _, p := range pts {
 					if hasW && !p.Time.After(w) {
 						info.SkippedPoints++
 						continue
 					}
-					if err := d.store.Append(r.id, p); err != nil {
-						info.SkippedPoints++
-						continue
-					}
-					info.Points++
+					batch = append(batch, tsdb.BatchPoint{ID: id, P: p})
 				}
+				// One shard lock for the whole record; the store's
+				// strict verdicts (duplicates, out of order) are the
+				// per-point Append ones.
+				accepted := int64(d.store.AppendBatch(batch))
+				info.Points += accepted
+				info.SkippedPoints += int64(len(batch)) - accepted
 			case recState:
 				r, err := decodeStateRec(payload)
 				if err != nil {

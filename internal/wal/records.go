@@ -13,34 +13,30 @@ import (
 	"repro/internal/tsdb"
 )
 
-// blockRec is one sealed raw block of one series.
-type blockRec struct {
-	id  string
-	blk tsdb.Block
+// encodeBlockRec writes one sealed raw block of one series.
+func encodeBlockRec(e *enc, id string, blk tsdb.Block) {
+	e.str(id)
+	e.uvarint(uint64(blk.Len()))
+	e.bytes(blk.Data())
 }
 
-func encodeBlockRec(e *enc, r blockRec) {
-	e.str(r.id)
-	e.uvarint(uint64(r.blk.Len()))
-	e.bytes(r.blk.Data())
-}
-
-// decodeBlockRec rebuilds the block, copying its payload out of the
-// replay buffer (the buffer is reused record to record, but a rebuilt
-// Block retains its data slice for the life of the store).
-func decodeBlockRec(payload []byte) (blockRec, error) {
+// decodeBlockRec decodes a block record's points straight from the
+// payload into dst, the caller's buffer reused record to record. Only the
+// series id is copied out of the replay buffer; the points are decoded
+// once, with no intermediate Block.
+func decodeBlockRec(payload []byte, dst []series.Point) (string, []series.Point, error) {
 	d := dec{b: payload}
 	id := d.str()
 	n := int(d.uvarint())
-	data := append([]byte(nil), d.bytes()...)
+	data := d.bytes()
 	if err := d.err(); err != nil {
-		return blockRec{}, err
+		return "", dst, err
 	}
-	blk, err := tsdb.RebuildBlock(data, n)
+	pts, err := tsdb.DecodeBlock(data, n, dst)
 	if err != nil {
-		return blockRec{}, fmt.Errorf("block record for %q: %w", id, err)
+		return "", pts, fmt.Errorf("block record for %q: %w", id, err)
 	}
-	return blockRec{id: id, blk: blk}, nil
+	return id, pts, nil
 }
 
 // stateRec is one series' estimator tuning state plus the retention
